@@ -655,10 +655,31 @@ impl Mapping {
         self.resident.count_range(first, last) * PAGE_SIZE
     }
 
-    /// Re-derives the incremental counters from the bitmaps. Debug
-    /// builds run this after every mutating operation; release builds
-    /// skip it.
-    fn verify_counters(&self) {
+    /// Resident pages private to this process: every dirty (CoW) page,
+    /// plus the clean ones whose bit in `shared` is clear. `shared` is
+    /// the backing file's shared-page words (see
+    /// [`FileRegistry::shared_words`]); page `i` of a file mapping is
+    /// file page `i`, so word `w` here lines up with word `w` there,
+    /// and words past its end count as unshared.
+    pub(crate) fn private_resident_pages(&self, shared: &[u64]) -> u64 {
+        let shared = shared.iter().chain(std::iter::repeat(&0));
+        self.resident
+            .words()
+            .iter()
+            .zip(self.dirty.words())
+            .zip(shared)
+            .map(|((&r, &d), &s)| u64::from((r & (d | !s)).count_ones()))
+            .sum()
+    }
+
+    /// Re-derives the incremental counters from the bitmaps, and for a
+    /// file-backed mapping the file's shared-page bitmap from its
+    /// mapper counts. Debug builds run this after every mutating
+    /// operation; release builds skip it.
+    fn verify_counters(&self, files: &FileRegistry) {
+        if let MappingKind::PrivateFile(file) = self.kind {
+            files.verify_shared(file);
+        }
         #[cfg(debug_assertions)]
         {
             assert_eq!(
@@ -1003,6 +1024,7 @@ impl AddressSpace {
         // Drop page-cache references held by this mapping.
         if let MappingKind::PrivateFile(file) = m.kind {
             m.for_each_clean_resident_page(|idx| files.dec_mapper(file, idx));
+            files.verify_shared(file);
         }
         Ok(m)
     }
@@ -1023,7 +1045,7 @@ impl AddressSpace {
     ) -> SimOsResult<u64> {
         let (m, first, last) = self.resolve_range_mut(addr, len)?;
         let freed = m.protect_range(files, first, last, prot);
-        m.verify_counters();
+        m.verify_counters(files);
         Ok(freed)
     }
 
@@ -1041,7 +1063,7 @@ impl AddressSpace {
     ) -> SimOsResult<TouchOutcome> {
         let (m, first, last) = self.resolve_range_mut(addr, len)?;
         let out = m.touch_range(files, first, last, write)?;
-        m.verify_counters();
+        m.verify_counters(files);
         Ok(out)
     }
 
@@ -1058,7 +1080,7 @@ impl AddressSpace {
     ) -> SimOsResult<u64> {
         let (m, first, last) = self.resolve_range_mut(addr, len)?;
         let freed = m.release_range(files, first, last);
-        m.verify_counters();
+        m.verify_counters(files);
         Ok(freed)
     }
 
@@ -1076,7 +1098,7 @@ impl AddressSpace {
     ) -> SimOsResult<u64> {
         let (m, first, last) = self.resolve_range_mut(addr, len)?;
         let swapped = m.swap_out_range(files, first, last);
-        m.verify_counters();
+        m.verify_counters(files);
         Ok(swapped)
     }
 

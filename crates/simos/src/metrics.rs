@@ -14,9 +14,20 @@
 //! * `USS` counts only private pages,
 //! * `PSS` counts private pages once and shared pages as `1/n` where
 //!   `n` is the number of mapping processes.
+//!
+//! Cost model. [`rss`] and [`swap_bytes`] sum each mapping's maintained
+//! counters. [`uss`] takes anonymous mappings whole and, per file
+//! mapping, one popcount of `resident & (dirty | !shared)` per 64-page
+//! word against the page cache's derived shared-page bitmap. All three
+//! cost O(mappings + words). [`pss`] is the one per-page walk left:
+//! each clean resident file page adds `PAGE_SIZE / n`, in page order
+//! and mapping order on purpose, because the `f64` bits of that sum
+//! feed digests and any other order would move them. [`smaps`] keeps
+//! the full per-mapping breakdown (the §4.6 unmap scan reads it) and is
+//! the oracle the fast paths are tested against.
 
-use crate::mem::{Mapping, MappingKind};
-use crate::system::{Pid, System};
+use crate::mem::{AddressSpace, Mapping, MappingKind, PAGE_SIZE};
+use crate::system::{FileRegistry, Pid, System};
 
 /// Per-mapping breakdown, mirroring an `smaps` entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,24 +137,58 @@ pub fn smaps(sys: &System, pid: Pid) -> Vec<SmapsEntry> {
     }
 }
 
+/// The mappings of `pid`, in address order (none if the process is
+/// gone).
+fn mappings(sys: &System, pid: Pid) -> impl Iterator<Item = &Mapping> {
+    sys.space(pid).into_iter().flat_map(AddressSpace::mappings)
+}
+
 /// Resident set size of `pid` in bytes.
 pub fn rss(sys: &System, pid: Pid) -> u64 {
-    smaps(sys, pid).iter().map(|e| e.rss).sum()
+    mappings(sys, pid).map(Mapping::resident_bytes).sum()
 }
 
 /// Unique set size of `pid` in bytes (`private_clean + private_dirty`).
 pub fn uss(sys: &System, pid: Pid) -> u64 {
-    smaps(sys, pid).iter().map(SmapsEntry::uss).sum()
+    mappings(sys, pid)
+        .map(|m| match m.kind {
+            MappingKind::Anonymous => m.resident_bytes(),
+            MappingKind::PrivateFile(file) => {
+                m.private_resident_pages(sys.files().shared_words(file)) * PAGE_SIZE
+            }
+        })
+        .sum()
+}
+
+/// Proportional set size of one mapping: the `pss` of its [`smaps`]
+/// entry, accumulated in the same order so the bits agree.
+fn mapping_pss(files: &FileRegistry, m: &Mapping) -> f64 {
+    let MappingKind::PrivateFile(file) = m.kind else {
+        return m.resident_bytes() as f64;
+    };
+    let counts = files.mapper_counts(file);
+    let mut pss = (m.resident_dirty_pages() * PAGE_SIZE) as f64;
+    m.for_each_clean_resident_page(|idx| {
+        let n = counts.get(idx).copied().unwrap_or(1).max(1);
+        if n == 1 {
+            pss += PAGE_SIZE as f64;
+        } else {
+            pss += PAGE_SIZE as f64 / n as f64;
+        }
+    });
+    pss
 }
 
 /// Proportional set size of `pid` in bytes.
 pub fn pss(sys: &System, pid: Pid) -> f64 {
-    smaps(sys, pid).iter().map(|e| e.pss).sum()
+    mappings(sys, pid)
+        .map(|m| mapping_pss(sys.files(), m))
+        .sum()
 }
 
 /// Bytes of `pid` currently on the swap device.
 pub fn swap_bytes(sys: &System, pid: Pid) -> u64 {
-    smaps(sys, pid).iter().map(|e| e.swap).sum()
+    mappings(sys, pid).map(Mapping::swapped_bytes).sum()
 }
 
 /// Machine-wide RSS: the sum over all live processes. Shared pages are

@@ -9,6 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{SimOsError, SimOsResult};
+use crate::mem::pagebits::PageBits;
 use crate::mem::{AddressSpace, Mapping, MappingKind, Prot, TouchOutcome, VirtAddr, PAGE_SIZE};
 
 /// A process identifier.
@@ -26,6 +27,21 @@ struct FileInfo {
     /// Per-page count of processes holding the page through the page
     /// cache (clean `MAP_PRIVATE` mappings).
     mapper_counts: Vec<u32>,
+    /// Pages whose mapper count is two or more. Derived from
+    /// `mapper_counts` (kept in step by `inc_mapper`/`dec_mapper`,
+    /// rebuilt on restore), so it stays out of the snapshot bytes.
+    shared: PageBits,
+}
+
+/// The shared-page bitmap implied by per-page mapper counts.
+fn shared_bits(mapper_counts: &[u32]) -> PageBits {
+    let mut shared = PageBits::new(mapper_counts.len());
+    for (page, &n) in mapper_counts.iter().enumerate() {
+        if n >= 2 {
+            shared.set(page);
+        }
+    }
+    shared
 }
 
 /// The global file registry and page cache.
@@ -33,7 +49,11 @@ struct FileInfo {
 /// Tracks, for every page of every registered file, how many processes
 /// currently map it clean. A count of one means the page is *private*
 /// to its process in `smaps` terms (and thus part of its USS); two or
-/// more means it is *shared*.
+/// more means it is *shared*. Next to the counts, each file keeps a
+/// shared-page bitmap (bit set iff the count is ≥ 2), so USS is a
+/// popcount over `resident & (dirty | !shared)` words: a mapping's
+/// page `i` is file page `i`, so its bitmap words line up with the
+/// file's. Only PSS still reads the counts themselves.
 #[derive(Debug, Clone, Default)]
 pub struct FileRegistry {
     files: Vec<FileInfo>,
@@ -52,6 +72,7 @@ impl FileRegistry {
         self.files.push(FileInfo {
             name: name.to_string(),
             mapper_counts: vec![0; npages],
+            shared: PageBits::new(npages),
         });
         FileId(self.files.len() as u32 - 1)
     }
@@ -75,16 +96,57 @@ impl FileRegistry {
         self.files[file.0 as usize].mapper_counts[page] // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
     }
 
+    /// Per-page mapper counts of `file` (empty for an unknown id).
+    pub fn mapper_counts(&self, file: FileId) -> &[u32] {
+        self.files
+            .get(file.0 as usize)
+            .map_or(&[], |f| f.mapper_counts.as_slice())
+    }
+
+    /// The shared-page words of `file`: bit `i` is set iff page `i`
+    /// has two or more clean mappers (empty for an unknown id).
+    pub fn shared_words(&self, file: FileId) -> &[u64] {
+        self.files
+            .get(file.0 as usize)
+            .map_or(&[], |f| f.shared.words())
+    }
+
     /// Records one more clean mapper of a file page.
     pub(crate) fn inc_mapper(&mut self, file: FileId, page: usize) {
-        self.files[file.0 as usize].mapper_counts[page] += 1; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        let f = &mut self.files[file.0 as usize]; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        let c = &mut f.mapper_counts[page]; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        *c += 1;
+        if *c == 2 {
+            f.shared.set(page);
+        }
     }
 
     /// Records one fewer clean mapper of a file page.
     pub(crate) fn dec_mapper(&mut self, file: FileId, page: usize) {
-        let c = &mut self.files[file.0 as usize].mapper_counts[page]; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        let f = &mut self.files[file.0 as usize]; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
+        let c = &mut f.mapper_counts[page]; // tidy:allow(panic-reachability) -- file ids and page indices are validated when the mapping is created
         debug_assert!(*c > 0, "mapper count underflow");
         *c = c.saturating_sub(1);
+        if *c == 1 {
+            f.shared.clear(page);
+        }
+    }
+
+    /// Re-derives the shared-page bitmap of `file` from its mapper
+    /// counts. Debug builds run this after every operation on a
+    /// file-backed mapping; release builds skip it.
+    pub(crate) fn verify_shared(&self, file: FileId) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        if let Some(f) = self.files.get(file.0 as usize) {
+            assert_eq!(
+                f.shared,
+                shared_bits(&f.mapper_counts),
+                "shared-page bitmap drift in `{}`",
+                f.name
+            );
+        }
     }
 }
 
@@ -127,6 +189,7 @@ impl System {
         for m in space.mappings() {
             if let MappingKind::PrivateFile(file) = m.kind {
                 m.for_each_clean_resident_page(|idx| self.files.dec_mapper(file, idx));
+                self.files.verify_shared(file);
             }
         }
         Ok(())
@@ -333,18 +396,26 @@ mod snap_impls {
 
     impl Snapshot for FileInfo {
         fn snap(&self, w: &mut Writer) {
+            // `shared` is derived from `mapper_counts`: it stays out of
+            // the canonical bytes (and so out of the platform's delta
+            // fold) and is rebuilt on restore.
             let Self {
                 name,
                 mapper_counts,
+                shared: _,
             } = self;
             w.str(name);
             mapper_counts.snap(w);
         }
 
         fn restore(r: &mut Reader<'_>) -> Result<FileInfo, SnapError> {
+            let name = r.str()?;
+            let mapper_counts = Vec::<u32>::restore(r)?;
+            let shared = shared_bits(&mapper_counts);
             Ok(FileInfo {
-                name: r.str()?,
-                mapper_counts: Vec::<u32>::restore(r)?,
+                name,
+                mapper_counts,
+                shared,
             })
         }
     }
@@ -426,6 +497,24 @@ mod tests {
         assert_eq!(sys.files().mapper_count(lib, 0), 2);
         sys.kill_process(p1).unwrap();
         assert_eq!(sys.files().mapper_count(lib, 0), 1);
+    }
+
+    #[test]
+    fn shared_bits_follow_the_second_mapper() {
+        let mut sys = System::new();
+        let lib = sys.register_file("libjvm.so", 4 * PAGE_SIZE);
+        let p1 = sys.spawn_process();
+        let p2 = sys.spawn_process();
+        sys.map_library(p1, lib).unwrap();
+        assert_eq!(sys.files().shared_words(lib), &[0]);
+        let a2 = sys.map_library(p2, lib).unwrap();
+        assert_eq!(sys.files().shared_words(lib), &[0b1111]);
+        // A CoW write takes page 1 out of the page cache.
+        sys.touch(p2, a2.offset(PAGE_SIZE), PAGE_SIZE, true)
+            .unwrap();
+        assert_eq!(sys.files().shared_words(lib), &[0b1101]);
+        sys.kill_process(p1).unwrap();
+        assert_eq!(sys.files().shared_words(lib), &[0]);
     }
 
     #[test]
