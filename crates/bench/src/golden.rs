@@ -6,8 +6,8 @@
 //! fault machinery at all. That guarantee is enforced by checksum: the
 //! digest below folds every observable outcome of a small fig9-style
 //! replay matrix (counters, rates, latency percentiles, final cache
-//! accounting) into one 64-bit FNV-1a value, and
-//! `tests/golden_replay.rs` pins it to the value captured before the
+//! accounting) into one 64-bit FNV-1a value, and the workspace root's
+//! `tests/replay_pins.rs` pins it to the value captured before the
 //! fault subsystem landed.
 
 use azure_trace::{build_trace, replay, ReplayConfig};

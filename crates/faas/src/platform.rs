@@ -40,7 +40,7 @@ use crate::config::{EnvFlavor, PlatformConfig};
 use crate::error::{PlatformError, PlatformResult};
 use crate::fault::FaultInjector;
 use crate::manager::{FrozenView, MemoryManager, ReclaimProfile};
-use crate::queue::{EventQueue, QueueImpl};
+use crate::queue::EventQueue;
 use crate::slab::{IdMap, Slab};
 use crate::stats::{CoreTimeKind, PlatformStats, StatsBatch};
 
@@ -430,31 +430,6 @@ impl Platform {
         if self.by_id.get(id).is_some() {
             self.dirty_slots.insert(id);
         }
-    }
-
-    /// Which event-queue representation the platform runs on.
-    pub fn queue_impl(&self) -> QueueImpl {
-        self.events.kind()
-    }
-
-    /// Switches the event queue to `kind`, rebuilding it from the
-    /// canonical `(time, seq)` order. The pop order (and therefore
-    /// every simulation outcome and checkpoint byte) is identical on
-    /// both representations; the reference heap exists as the oracle
-    /// and perf baseline.
-    pub fn set_queue_impl(&mut self, kind: QueueImpl) -> PlatformResult<()> {
-        if kind == self.events.kind() {
-            return Ok(());
-        }
-        let entries: Vec<(SimTime, u64, Event)> = self
-            .events
-            .sorted_entries()
-            .into_iter()
-            .map(|(at, seq, ev)| (at, seq, *ev))
-            .collect();
-        self.events = EventQueue::from_sorted(kind, entries)
-            .map_err(snapshot::SnapError::Corrupt)?;
-        Ok(())
     }
 
     /// Verifies the instance table's internal coherence: every live
@@ -1480,8 +1455,8 @@ impl Platform {
         self.pools.snap(&mut w);
         self.shared_libs.snap(&mut w);
         self.requests.snap(&mut w);
-        // The event queue, in canonical (time, seq) order — identical
-        // bytes on either queue representation.
+        // The event queue, in canonical (time, seq) order — the heap's
+        // internal layout never reaches the bytes.
         w.usize(self.events.len());
         for (at, seq, ev) in self.events.sorted_entries() {
             at.snap(&mut w);
@@ -1617,9 +1592,14 @@ impl Platform {
             }
         }
         let ev_ok = |req: usize| req < requests.len();
-        for (_, ev_seq, ev) in &event_rows {
+        for (ev_at, ev_seq, ev) in &event_rows {
             if *ev_seq > seq {
                 return Err(SnapError::Corrupt("event seq above cursor").into());
+            }
+            // The event loop never runs an event earlier than the
+            // clock; such a schedule can only come from corrupt bytes.
+            if *ev_at < now {
+                return Err(SnapError::Corrupt("event scheduled before the restored clock").into());
             }
             let ok = match ev {
                 Event::Arrival { req }
@@ -1634,8 +1614,7 @@ impl Platform {
                 return Err(SnapError::Corrupt("event names unknown request").into());
             }
         }
-        let events = EventQueue::from_sorted(self.events.kind(), event_rows)
-            .map_err(SnapError::Corrupt)?;
+        let events = EventQueue::from_sorted(event_rows).map_err(SnapError::Corrupt)?;
         for p in &pending {
             if !ev_ok(p.req) {
                 return Err(SnapError::Corrupt("pending stage names unknown request").into());
@@ -2555,6 +2534,29 @@ mod tests {
         bad.truncate(last);
         assert!(a.restore(&bad).is_err());
         assert_eq!(a.checkpoint(), before, "failed restore must not mutate");
+    }
+
+    #[test]
+    fn restore_rejects_events_queued_before_the_clock() {
+        let make = || Platform::new(small_config(), workloads::catalog(), GcMode::Vanilla, None);
+        let mut a = make();
+        submit_n(&mut a, "mapreduce", 3, 2000);
+        a.run_until(SimTime(3_000_000_000));
+        let (earliest, _) = a.events.peek_key().expect("cut mid-drain: events still queued");
+        a.now = earliest + SimDuration::from_nanos(1);
+        let bad = a.checkpoint();
+        let mut b = make();
+        submit_n(&mut b, "sort", 2, 1000);
+        b.run_until(SimTime(1_500_000_000));
+        let before = b.checkpoint();
+        assert!(
+            matches!(
+                b.restore(&bad),
+                Err(PlatformError::Snapshot(snapshot::SnapError::Corrupt(_)))
+            ),
+            "an event earlier than the restored clock must be rejected"
+        );
+        assert_eq!(b.checkpoint(), before, "failed restore must not mutate");
     }
 
     #[test]

@@ -125,3 +125,31 @@ proptest! {
         prop_assert_eq!(p.cache_used(), 0);
     }
 }
+
+/// The fixed companion of `round_trip_at_arbitrary_cut_is_identity`: a
+/// cut inside a burst of same-millisecond arrivals, with work in flight
+/// and events still queued, restores through the canonical `(time,
+/// seq)` rebuild to the identical bytes and continues identically.
+#[test]
+fn mid_drain_burst_cut_round_trips() {
+    let l = Load {
+        arrivals: (0..24).map(|i| (i % 7, 1_000 + (i as u64 % 3))).collect(),
+        cache_mib: 768,
+        cores: 2,
+        eager: false,
+    };
+    let mut original = build(&l);
+    submit_all(&mut original, &l);
+    // Cut inside the burst, mid-millisecond, while work is in flight.
+    original.run_until(SimTime(1_001_500_000));
+    assert!(original.in_flight() > 0, "cut must land mid-drain");
+    let bytes = original.checkpoint();
+
+    let mut restored = build(&l);
+    restored.restore(&bytes).expect("mid-drain checkpoint restores");
+    assert_eq!(restored.checkpoint(), bytes, "restore is not the codec's inverse");
+    let horizon = SimTime(60_000_000_000);
+    original.run_until(horizon);
+    restored.run_until(horizon);
+    assert_eq!(restored.checkpoint(), original.checkpoint(), "continuation diverged");
+}

@@ -17,10 +17,11 @@
 //! * **hygiene** — `forbid-unsafe`, `path-deps`, `shim-surface`: every
 //!   crate forbids `unsafe`, manifests carry only path dependencies,
 //!   vendored shims export nothing dead.
-//! * **performance** — `hot-containers`: sim-state crates may not
-//!   reintroduce `BinaryHeap` event queues or `BTreeMap<InstanceId, _>`
-//!   per-event lookups; the calendar queue and slab arenas replaced
-//!   them for a reason.
+//! * **performance** — `hot-containers`: sim-state crates may not grow
+//!   a second `BinaryHeap` event queue or `BTreeMap<InstanceId, _>`
+//!   per-event lookups; all scheduling goes through
+//!   `faas::queue::EventQueue` and per-instance state lives in the
+//!   slab arenas.
 //!
 //! A violation is suppressed by an inline marker on the same or the
 //! preceding line:
@@ -122,8 +123,8 @@ pub const RULES: &[Rule] = &[
         name: "hot-containers",
         family: "performance",
         summary: "BinaryHeap or BTreeMap<InstanceId, _> on a sim-state hot path",
-        hint: "use faas::queue::EventQueue (calendar queue) for scheduling and \
-               faas::slab::{Slab, IdMap} for per-instance state; if the container is \
+        hint: "schedule through faas::queue::EventQueue, the one event queue, and keep \
+               per-instance state in faas::slab::{Slab, IdMap}; if the container is \
                provably off the per-event path, add `// tidy:allow(hot-containers) -- why`",
     },
     Rule {
@@ -589,8 +590,8 @@ fn scan_tokens(
                     path,
                     line,
                     "hot-containers",
-                    "`BinaryHeap` event queue on a sim-state hot path \
-                     (the calendar queue replaced it)"
+                    "`BinaryHeap` on a sim-state hot path \
+                     (all scheduling goes through faas::queue::EventQueue)"
                         .to_string(),
                 ));
             }

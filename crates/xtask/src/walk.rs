@@ -26,9 +26,8 @@ use crate::rules::{self, Finding};
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
 /// Vendored third-party stand-ins: exempt from the style rules (their
-/// job is to mimic crates.io APIs — the criterion shim *must* read the
-/// wall clock), but their manifests are still checked and their export
-/// surface is audited by `shim-surface`.
+/// job is to mimic crates.io APIs), but their manifests are still
+/// checked and their export surface is audited by `shim-surface`.
 const SHIM_PREFIX: &str = "crates/shims/";
 
 /// Tuning knobs for one tidy run.

@@ -2,13 +2,12 @@
 # Perf trajectory: regenerate the committed BENCH_*.json files at the
 # repo root.
 #
-# Runs the `perf` harness in full mode (4M hold-model ops, best-of-5
-# replay rounds) and writes:
+# Runs the `perf` harness in full mode (best-of-5 replay rounds) and
+# writes:
 #
-#   BENCH_eventloop.json  — calendar vs. reference-heap hold model
-#   BENCH_replay.json     — replay_30s_sf15 wall time, both queue
-#                           impls, vanilla + desiccant, against the
-#                           fixed pre-PR baseline
+#   BENCH_replay.json     — replay_30s_sf15 wall time, vanilla +
+#                           desiccant, against the fixed pre-PR
+#                           baseline, with the completed count
 #   BENCH_checkpoint.json — full vs. delta checkpoint bytes and wall
 #                           time at a ~2^16-frozen-instance steady
 #                           state

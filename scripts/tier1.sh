@@ -36,10 +36,11 @@ for bin in "${bins[@]}"; do
         >/dev/null
 done
 
-echo "== perf smoke (hold model + replay, quick, checked) =="
-# Quick mode: enough ops to catch a representation regression (the
-# --check floor is deliberately below the full-mode target so shared
-# CI hosts don't flake); full measurements come from scripts/bench.sh.
+echo "== perf smoke (replay + checkpoint model, quick, checked) =="
+# Quick mode checks invariants only: the replay completes requests and
+# the checkpoint model's delta is small and folds back to the
+# canonical bytes. No timing floor; full measurements come from
+# scripts/bench.sh.
 cargo run --release -q -p bench --bin perf -- --quick --check \
     --out-dir target/bench-smoke >/dev/null
 
