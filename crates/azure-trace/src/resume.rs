@@ -408,7 +408,7 @@ where
                 }
                 _ => platform.checkpoint_base(epoch, &extra),
             };
-            store.put(&bytes);
+            store.put(bytes);
             parent_epoch = Some(epoch);
         }
         if start == warm_end {

@@ -179,18 +179,17 @@ fn main() {
     }
     p.run_until(p.now() + SimDuration::from_secs(3600));
     let (delta_secs, delta) = timed(|| p.checkpoint_delta(2, 1, &[]));
-    let ratio = full.len() as f64 / delta.len().max(1) as f64;
+    let (full_bytes, delta_bytes) = (full.len(), delta.len());
+    let ratio = full_bytes as f64 / delta_bytes.max(1) as f64;
     println!(
-        "checkpoint model ({instances} instances): full {} bytes in {:.1} ms, \
-         delta {} bytes in {:.1} ms after {dirty_requests} warm requests ({ratio:.1}x smaller)",
-        full.len(),
+        "checkpoint model ({instances} instances): full {full_bytes} bytes in {:.1} ms, \
+         delta {delta_bytes} bytes in {:.1} ms after {dirty_requests} warm requests ({ratio:.1}x smaller)",
         full_secs * 1e3,
-        delta.len(),
         delta_secs * 1e3,
     );
     check(
         &flags,
-        delta.len() * 4 < full.len(),
+        delta_bytes * 4 < full_bytes,
         "checkpoint model: delta writes measurably fewer bytes than the base",
     );
     // The chain must fold back to the canonical bytes of the platform
@@ -199,7 +198,7 @@ fn main() {
     let canonical = p.checkpoint();
     let mut q = Platform::new(ckpt_config(), workloads::catalog(), GcMode::Vanilla, None);
     let folded = q
-        .restore_chain(&[full.clone(), delta.clone()])
+        .restore_chain(&[full, delta])
         .map(|_| q.checkpoint() == canonical)
         .unwrap_or(false);
     check(
@@ -222,8 +221,8 @@ fn main() {
              \"full_checkpoint_ns\": {},\n  \
              \"delta_checkpoint_ns\": {}\n}}\n",
             flags.quick,
-            full.len(),
-            delta.len(),
+            full_bytes,
+            delta_bytes,
             json_num(ratio),
             json_num(full_secs * 1e9),
             json_num(delta_secs * 1e9),

@@ -368,7 +368,7 @@ impl Shard {
             }
             _ => self.platform.checkpoint_base(epoch, &extra),
         };
-        self.store.put(&bytes);
+        self.store.put(bytes);
         self.parent_epoch = Some(epoch);
     }
 

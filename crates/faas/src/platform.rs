@@ -1756,26 +1756,24 @@ impl Platform {
             "counter batch must be flushed before a checkpoint"
         );
         let mut cw = ContainerWriter::new();
-        let mut meta = snapshot::Writer::new();
-        self.fingerprint().snap(&mut meta);
-        cw.frame(Self::FRAME_META, &meta.into_bytes());
+        cw.frame_with(Self::FRAME_META, |w| self.fingerprint().snap(w));
         cw.frame(Self::FRAME_CONTROL, &self.control_section());
-        for pid in self.sys.pids().collect::<Vec<_>>() {
+        for pid in self.sys.pids() {
             let Ok(space) = self.sys.space(pid) else {
                 continue;
             };
-            let mut w = snapshot::Writer::new();
-            pid.snap(&mut w);
-            space.snap(&mut w);
-            cw.frame(Self::FRAME_PROC, &w.into_bytes());
+            cw.frame_with(Self::FRAME_PROC, |w| {
+                pid.snap(w);
+                space.snap(w);
+            });
         }
         let mut live: Vec<&Slot> = self.slots.iter().map(|(_, s)| s).collect();
         live.sort_unstable_by_key(|s| s.id);
         for s in live {
-            let mut w = snapshot::Writer::new();
-            s.id.snap(&mut w);
-            s.snap(&mut w);
-            cw.frame(Self::FRAME_SLOT, &w.into_bytes());
+            cw.frame_with(Self::FRAME_SLOT, |w| {
+                s.id.snap(w);
+                s.snap(w);
+            });
         }
         for (kind, payload) in extra {
             cw.frame(*kind, payload);
@@ -1797,44 +1795,43 @@ impl Platform {
             "counter batch must be flushed before a checkpoint"
         );
         let mut cw = ContainerWriter::new();
-        let mut meta = snapshot::Writer::new();
-        self.fingerprint().snap(&mut meta);
-        cw.frame(Self::FRAME_META, &meta.into_bytes());
+        cw.frame_with(Self::FRAME_META, |w| self.fingerprint().snap(w));
         cw.frame(Self::FRAME_CONTROL, &self.control_section());
         // Tombstones before upserts: ids are never reused, so the
         // order only matters for readability of the container.
-        if !self.sys.removed_pids().is_empty() {
-            let mut w = snapshot::Writer::new();
-            w.usize(self.sys.removed_pids().len());
-            for pid in self.sys.removed_pids() {
-                pid.snap(&mut w);
-            }
-            cw.frame(Self::FRAME_PROC_TOMB, &w.into_bytes());
+        let removed = self.sys.removed_pids();
+        if !removed.is_empty() {
+            cw.frame_with(Self::FRAME_PROC_TOMB, |w| {
+                w.usize(removed.len());
+                for pid in removed {
+                    pid.snap(w);
+                }
+            });
         }
         for (pid, space) in self.sys.epoch_dirty_spaces() {
-            let mut w = snapshot::Writer::new();
-            pid.snap(&mut w);
-            space.snap_delta(&mut w);
-            cw.frame(Self::FRAME_PROC_DELTA, &w.into_bytes());
+            cw.frame_with(Self::FRAME_PROC_DELTA, |w| {
+                pid.snap(w);
+                space.snap_delta(w);
+            });
         }
         if !self.dead_slots.is_empty() {
-            let mut w = snapshot::Writer::new();
-            w.usize(self.dead_slots.len());
-            for id in &self.dead_slots {
-                id.snap(&mut w);
-            }
-            cw.frame(Self::FRAME_SLOT_TOMB, &w.into_bytes());
+            cw.frame_with(Self::FRAME_SLOT_TOMB, |w| {
+                w.usize(self.dead_slots.len());
+                for id in &self.dead_slots {
+                    id.snap(w);
+                }
+            });
         }
-        for id in self.dirty_slots.clone() {
+        for &id in &self.dirty_slots {
             // Dirt recorded for an instance that died later in the
             // epoch is stale — the tombstone covers it.
             let Some(slot) = self.slot(id) else {
                 continue;
             };
-            let mut w = snapshot::Writer::new();
-            id.snap(&mut w);
-            slot.snap(&mut w);
-            cw.frame(Self::FRAME_SLOT, &w.into_bytes());
+            cw.frame_with(Self::FRAME_SLOT, |w| {
+                id.snap(w);
+                slot.snap(w);
+            });
         }
         for (kind, payload) in extra {
             cw.frame(*kind, payload);
@@ -1856,19 +1853,29 @@ impl Platform {
     /// folded state too. On success the restored instances are
     /// additionally checked against the USS ≤ PSS ≤ RSS ordering.
     ///
+    /// The fold works on payloads borrowed from `chain`; only address
+    /// spaces a delta re-encodes are owned, and the reassembled
+    /// checkpoint is allocated once, at its final size.
+    ///
     /// Returns the epoch of the chain head and the head's extra
     /// (driver) frames.
-    pub fn restore_chain(&mut self, chain: &[Vec<u8>]) -> PlatformResult<(u64, ExtraFrames)> {
-        use simos::AddressSpace;
-        use snapshot::frame::Container;
-        use snapshot::{SnapError, Snapshot};
-        if chain.is_empty() {
-            return Err(SnapError::Corrupt("empty checkpoint chain").into());
-        }
-        let containers: Vec<Container> = chain
+    pub fn restore_chain<B: AsRef<[u8]>>(&mut self, chain: &[B]) -> PlatformResult<(u64, ExtraFrames)> {
+        let containers: Vec<snapshot::frame::Container<'_>> = chain
             .iter()
-            .map(|bytes| Container::open(bytes))
+            .map(|bytes| snapshot::frame::Container::open(bytes.as_ref()))
             .collect::<Result<_, _>>()?;
+        self.restore_containers(&containers)
+    }
+
+    /// The fold behind [`Platform::restore_chain`], over verified
+    /// containers.
+    fn restore_containers(
+        &mut self,
+        containers: &[snapshot::frame::Container<'_>],
+    ) -> PlatformResult<(u64, ExtraFrames)> {
+        use simos::AddressSpace;
+        use snapshot::{SnapError, Snapshot};
+        use std::borrow::Cow;
         let head = containers.first().ok_or(SnapError::Corrupt("empty checkpoint chain"))?;
         if let Some(p) = head.parent {
             return Err(SnapError::mismatch(
@@ -1890,15 +1897,15 @@ impl Platform {
             }
         }
         let mut fingerprint: Option<u64> = None;
-        let mut control: Option<Vec<u8>> = None;
-        let mut spaces: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        let mut slot_blobs: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        let mut extra: Vec<(u32, Vec<u8>)> = Vec::new();
-        for container in &containers {
+        let mut control: Option<&[u8]> = None;
+        let mut spaces: BTreeMap<u32, Cow<'_, [u8]>> = BTreeMap::new();
+        let mut slot_blobs: BTreeMap<u64, &[u8]> = BTreeMap::new();
+        let mut extra: Vec<(u32, &[u8])> = Vec::new();
+        for container in containers {
             extra.clear();
-            for (kind, payload) in &container.frames {
+            for &(kind, payload) in &container.frames {
                 let mut r = snapshot::Reader::new(payload);
-                match *kind {
+                match kind {
                     Self::FRAME_META => {
                         let fp = u64::restore(&mut r)?;
                         r.finish()?;
@@ -1910,11 +1917,11 @@ impl Platform {
                         }
                         fingerprint = Some(fp);
                     }
-                    Self::FRAME_CONTROL => control = Some(payload.clone()),
+                    Self::FRAME_CONTROL => control = Some(payload),
                     Self::FRAME_PROC => {
                         let pid = simos::Pid::restore(&mut r)?;
-                        let body = r.take(r.remaining())?.to_vec();
-                        spaces.insert(pid.0, body);
+                        let body = r.take(r.remaining())?;
+                        spaces.insert(pid.0, Cow::Borrowed(body));
                     }
                     Self::FRAME_PROC_TOMB => {
                         let n = r.seq_len()?;
@@ -1939,11 +1946,11 @@ impl Platform {
                         r.finish()?;
                         let mut w = snapshot::Writer::new();
                         folded.snap(&mut w);
-                        spaces.insert(pid.0, w.into_bytes());
+                        spaces.insert(pid.0, Cow::Owned(w.into_bytes()));
                     }
                     Self::FRAME_SLOT => {
                         let id = InstanceId::restore(&mut r)?;
-                        let body = r.take(r.remaining())?.to_vec();
+                        let body = r.take(r.remaining())?;
                         slot_blobs.insert(id.0, body);
                     }
                     Self::FRAME_SLOT_TOMB => {
@@ -1955,7 +1962,7 @@ impl Platform {
                         r.finish()?;
                     }
                     other if other >= Self::FRAME_EXTRA_BASE => {
-                        extra.push((other, payload.clone()));
+                        extra.push((other, payload));
                     }
                     _ => {
                         return Err(SnapError::Corrupt(
@@ -1969,18 +1976,27 @@ impl Platform {
         let fingerprint =
             fingerprint.ok_or(SnapError::Corrupt("chain carries no fingerprint frame"))?;
         let control = control.ok_or(SnapError::Corrupt("chain carries no control frame"))?;
-        let mut cr = snapshot::Reader::new(&control);
-        let files = cr.blob()?.to_vec();
+        let mut cr = snapshot::Reader::new(control);
+        let files = cr.blob()?;
         let next_pid = cr.u32()?;
-        let tail = cr.blob()?.to_vec();
+        let tail = cr.blob()?;
         cr.finish()?;
         // Reassemble the canonical full-checkpoint byte stream; the
         // layout here mirrors `Platform::checkpoint` and the `System` /
         // `AddressSpace` snapshot impls in lockstep.
-        let mut w = snapshot::Writer::new();
+        let size = 8 // header
+            + 8 // fingerprint
+            + files.len()
+            + 8 // space count
+            + spaces.values().map(|b| 4 + b.len()).sum::<usize>()
+            + 4 // next pid
+            + 8 // slot count
+            + slot_blobs.values().map(|b| 8 + b.len()).sum::<usize>()
+            + tail.len();
+        let mut w = snapshot::Writer::with_capacity(size);
         snapshot::write_header(&mut w, SNAP_MAGIC, SNAP_VERSION);
         fingerprint.snap(&mut w);
-        w.raw(&files);
+        w.raw(files);
         w.usize(spaces.len());
         for (pid, bytes) in &spaces {
             w.u32(*pid);
@@ -1992,7 +2008,8 @@ impl Platform {
             w.u64(*id);
             w.raw(bytes);
         }
-        w.raw(&tail);
+        w.raw(tail);
+        debug_assert_eq!(w.len(), size, "the reassembly size estimate is exact");
         self.restore(&w.into_bytes())?;
         // Memory-accounting cross-check on the restored state: the
         // machine invariant USS ≤ PSS ≤ RSS must hold per instance. A
@@ -2013,6 +2030,7 @@ impl Platform {
             }
         }
         let head_epoch = containers.last().map_or(0, |c| c.epoch);
+        let extra = extra.into_iter().map(|(kind, payload)| (kind, payload.to_vec())).collect();
         Ok((head_epoch, extra))
     }
 }
@@ -2753,7 +2771,7 @@ mod tests {
         // A delta cannot head a chain, and linkage must be contiguous.
         assert!(make().restore_chain(std::slice::from_ref(&delta)).is_err());
         assert!(make().restore_chain(&[delta.clone(), delta.clone()]).is_err());
-        assert!(make().restore_chain(&[]).is_err());
+        assert!(make().restore_chain::<&[u8]>(&[]).is_err());
         // The happy path still works after all the rejected attempts.
         make().restore_chain(&[base, delta]).expect("valid chain");
     }

@@ -79,21 +79,25 @@ impl CheckpointStore {
     /// Stores a checkpoint container, injecting at most one storage
     /// fault into the stored bytes. Returns the fault that fired, if
     /// any — callers may count it, but must never use it to steer
-    /// recovery (a real host does not know its disk lied).
-    pub fn put(&mut self, container: &[u8]) -> Option<StorageFault> {
+    /// recovery (a real host does not know its disk lied). The store
+    /// keeps `container` itself when no fault fires, so a put never
+    /// copies a clean checkpoint.
+    pub fn put(&mut self, container: Vec<u8>) -> Option<StorageFault> {
         let fault = self.injector.as_mut().and_then(|i| i.next_fault());
-        let stored = match fault {
-            None => container.to_vec(),
-            Some(f) => {
-                self.faults_injected += 1;
-                self.apply_fault(f, container)
-            }
-        };
         // The splice source for a *future* stale commit is this put's
         // pristine commit record — the store models a writer whose
         // buffered commit block lands late, over the next object.
-        if let Some((commit_start, end)) = commit_extent(container) {
-            self.last_commit = container.get(commit_start..end).map(<[u8]>::to_vec);
+        let commit = commit_extent(&container)
+            .and_then(|(commit_start, end)| container.get(commit_start..end).map(<[u8]>::to_vec));
+        let stored = match fault {
+            None => container,
+            Some(f) => {
+                self.faults_injected += 1;
+                self.apply_fault(f, &container)
+            }
+        };
+        if commit.is_some() {
+            self.last_commit = commit;
         }
         self.objects.push(StoredObject {
             bytes: stored,
@@ -191,13 +195,20 @@ impl CheckpointStore {
     /// strictly older verifiable objects, all the way to a base.
     /// Returns `None` when no stored object yields a usable chain
     /// (recovery then restarts from nothing and replays the journal).
-    pub fn recover(&self) -> Option<(u64, Vec<Vec<u8>>)> {
+    ///
+    /// The chain borrows the stored bytes. While it looks for a
+    /// parent, the walk reads each older object's commit-record epoch
+    /// without verifying it ([`commit_epoch`]) and fully opens only an
+    /// object whose record names the wanted epoch: a container that
+    /// verifies has exactly that record, so the skipped objects could
+    /// never have matched.
+    pub fn recover(&self) -> Option<(u64, Vec<&[u8]>)> {
         'heads: for head_idx in (0..self.objects.len()).rev() {
-            let head_bytes = &self.objects.get(head_idx)?.bytes;
+            let head_bytes = self.objects.get(head_idx)?.bytes.as_slice();
             let Ok(head) = Container::open(head_bytes) else {
                 continue;
             };
-            let mut chain_rev = vec![head_bytes.clone()];
+            let mut chain_rev = vec![head_bytes];
             let mut need = head.parent;
             let mut cursor = head_idx;
             while let Some(parent_epoch) = need {
@@ -206,11 +217,14 @@ impl CheckpointStore {
                     let Some(obj) = self.objects.get(j) else {
                         continue;
                     };
+                    if commit_epoch(&obj.bytes) != Some(parent_epoch) {
+                        continue;
+                    }
                     let Ok(c) = Container::open(&obj.bytes) else {
                         continue;
                     };
                     if c.epoch == parent_epoch {
-                        chain_rev.push(obj.bytes.clone());
+                        chain_rev.push(&obj.bytes);
                         need = c.parent;
                         cursor = j;
                         found = true;
@@ -269,6 +283,17 @@ fn commit_extent(bytes: &[u8]) -> Option<(usize, usize)> {
     None
 }
 
+/// The epoch field of the commit record, read without verifying any
+/// CRC: the first `u64` of the commit frame's payload. `None` when the
+/// container does not parse as far as a commit frame.
+fn commit_epoch(bytes: &[u8]) -> Option<u64> {
+    let (start, _) = commit_extent(bytes)?;
+    let mut r = Reader::new(bytes.get(start..)?);
+    r.u32().ok()?;
+    r.seq_len().ok()?;
+    r.u64().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,9 +315,9 @@ mod tests {
     #[test]
     fn reliable_store_recovers_newest_chain() {
         let mut s = CheckpointStore::new();
-        s.put(&base(1, b"b1"));
-        s.put(&delta(2, 1, b"d2"));
-        s.put(&delta(3, 2, b"d3"));
+        s.put(base(1, b"b1"));
+        s.put(delta(2, 1, b"d2"));
+        s.put(delta(3, 2, b"d3"));
         let (epoch, chain) = s.recover().expect("chain");
         assert_eq!(epoch, 3);
         assert_eq!(chain.len(), 3);
@@ -303,9 +328,9 @@ mod tests {
     #[test]
     fn torn_newest_falls_back_one_epoch() {
         let mut s = CheckpointStore::new();
-        s.put(&base(1, b"b1"));
-        s.put(&delta(2, 1, b"d2"));
-        s.put(&delta(3, 2, b"d3"));
+        s.put(base(1, b"b1"));
+        s.put(delta(2, 1, b"d2"));
+        s.put(delta(3, 2, b"d3"));
         s.tear_newest();
         let (epoch, chain) = s.recover().expect("fallback chain");
         assert_eq!(epoch, 2);
@@ -315,9 +340,9 @@ mod tests {
     #[test]
     fn corrupt_ancestor_invalidates_descendants() {
         let mut s = CheckpointStore::new();
-        s.put(&base(1, b"b1"));
-        s.put(&base(2, b"b2"));
-        s.put(&delta(3, 2, b"d3"));
+        s.put(base(1, b"b1"));
+        s.put(base(2, b"b2"));
+        s.put(delta(3, 2, b"d3"));
         // Corrupt the *middle* object (epoch-2 base): the epoch-3
         // delta verifies on its own but its ancestry is gone, so
         // recovery must land on the older base.
@@ -335,8 +360,8 @@ mod tests {
     #[test]
     fn all_objects_corrupt_recovers_none() {
         let mut s = CheckpointStore::with_faults(StorageFaultPlan::corrupt_at(9, 40));
-        assert_eq!(s.put(&base(1, b"b1")), Some(StorageFault::BitFlip));
-        assert_eq!(s.put(&delta(2, 1, b"d2")), Some(StorageFault::BitFlip));
+        assert_eq!(s.put(base(1, b"b1")), Some(StorageFault::BitFlip));
+        assert_eq!(s.put(delta(2, 1, b"d2")), Some(StorageFault::BitFlip));
         assert_eq!(s.faults_injected(), 2);
         assert!(s.recover().is_none());
     }
@@ -350,7 +375,7 @@ mod tests {
             for epoch in 1..=20u64 {
                 let mut cw = ContainerWriter::new();
                 cw.frame(1, &epoch.to_le_bytes());
-                tags.push(s.put(&cw.commit(epoch, parent)));
+                tags.push(s.put(cw.commit(epoch, parent)));
                 parent = Some(epoch);
             }
             (tags, s.recover().map(|(e, c)| (e, c.len())))
@@ -371,11 +396,11 @@ mod tests {
             corrupt_at: None,
         });
         // First put degrades to torn (no earlier commit to splice).
-        assert_eq!(s.put(&base(1, b"b1")), Some(StorageFault::StaleCommit));
+        assert_eq!(s.put(base(1, b"b1")), Some(StorageFault::StaleCommit));
         assert!(s.recover().is_none());
         // Second put gets the first container's commit spliced on; the
         // body CRC catches the forgery.
-        s.put(&base(2, b"a very different second body"));
+        s.put(base(2, b"a very different second body"));
         assert!(
             Container::open(&s.objects.last().unwrap().bytes).is_err(),
             "stale commit must not verify"
@@ -383,11 +408,72 @@ mod tests {
         assert!(s.recover().is_none());
     }
 
+    /// The lattice walk without the commit-epoch pre-filter: every
+    /// candidate parent is fully opened. The oracle that
+    /// [`CheckpointStore::recover`] must agree with.
+    fn recover_by_full_open(s: &CheckpointStore) -> Option<(u64, Vec<&[u8]>)> {
+        'heads: for head_idx in (0..s.objects.len()).rev() {
+            let head_bytes = s.objects[head_idx].bytes.as_slice();
+            let Ok(head) = Container::open(head_bytes) else {
+                continue;
+            };
+            let mut chain_rev = vec![head_bytes];
+            let (mut need, mut cursor) = (head.parent, head_idx);
+            while let Some(parent_epoch) = need {
+                let found = (0..cursor).rev().find_map(|j| {
+                    let c = Container::open(&s.objects[j].bytes).ok()?;
+                    (c.epoch == parent_epoch).then_some((j, c.parent))
+                });
+                let Some((j, parent)) = found else {
+                    continue 'heads;
+                };
+                chain_rev.push(&s.objects[j].bytes);
+                (need, cursor) = (parent, j);
+            }
+            chain_rev.reverse();
+            return Some((head.epoch, chain_rev));
+        }
+        None
+    }
+
+    #[test]
+    fn recovery_matches_the_full_open_walk_under_seeded_faults() {
+        for seed in 0..48u64 {
+            for rate in [0.1, 0.3, 0.6] {
+                let mut s = CheckpointStore::with_faults(StorageFaultPlan::uniform(seed, rate));
+                for epoch in 1..=24u64 {
+                    // Mostly well-formed chains, plus parents that name
+                    // a missing or a far-back epoch.
+                    let parent = match (epoch + seed) % 7 {
+                        0 => None,
+                        5 => Some(epoch / 2),
+                        6 => Some(epoch + 100),
+                        _ => epoch.checked_sub(1).filter(|&p| p > 0),
+                    };
+                    let mut cw = ContainerWriter::new();
+                    cw.frame(1, &(epoch * seed).to_le_bytes());
+                    cw.frame(2, &vec![epoch as u8; (epoch * 13 % 97) as usize]);
+                    s.put(cw.commit(epoch, parent.filter(|&p| p != epoch)));
+                    match (epoch + seed) % 11 {
+                        3 => s.tear_newest(),
+                        4 => s.corrupt_newest(epoch * seed),
+                        _ => {}
+                    }
+                    assert_eq!(
+                        s.recover(),
+                        recover_by_full_open(&s),
+                        "seed {seed} rate {rate} after epoch {epoch}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn corrupt_newest_is_detected_and_survivable() {
         let mut s = CheckpointStore::new();
-        s.put(&base(1, b"b1"));
-        s.put(&delta(2, 1, b"d2"));
+        s.put(base(1, b"b1"));
+        s.put(delta(2, 1, b"d2"));
         s.corrupt_newest(64);
         assert!(Container::open(&s.objects.last().unwrap().bytes).is_err());
         let (epoch, _) = s.recover().expect("base survives");

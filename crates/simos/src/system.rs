@@ -529,6 +529,45 @@ mod tests {
     }
 
     #[test]
+    fn a_clean_cut_leaves_only_the_touched_mapping_dirty() {
+        let mut sys = System::new();
+        let lib = sys.register_file("libjvm.so", 8 * PAGE_SIZE);
+        let p1 = sys.spawn_process();
+        let p2 = sys.spawn_process();
+        let heap = sys
+            .mmap(p1, 256 * PAGE_SIZE, MappingKind::Anonymous, Prot::ReadWrite)
+            .unwrap();
+        let stack = sys
+            .mmap(p1, 16 * PAGE_SIZE, MappingKind::Anonymous, Prot::ReadWrite)
+            .unwrap();
+        sys.touch(p1, heap, 100 * PAGE_SIZE, true).unwrap();
+        sys.map_library(p2, lib).unwrap();
+        assert_eq!(sys.epoch_dirty_spaces().count(), 2, "new spaces start dirty");
+
+        // A cut with no mutation after it: nothing is dirty.
+        sys.clear_epoch_dirty();
+        assert_eq!(sys.epoch_dirty_spaces().count(), 0);
+        sys.clear_epoch_dirty();
+        assert_eq!(sys.epoch_dirty_spaces().count(), 0);
+
+        // One touched page dirties exactly its mapping.
+        sys.touch(p1, stack.offset(3 * PAGE_SIZE), PAGE_SIZE, false).unwrap();
+        let dirty: Vec<(Pid, &AddressSpace)> = sys.epoch_dirty_spaces().collect();
+        assert_eq!(dirty.len(), 1);
+        let (pid, space) = dirty.first().unwrap();
+        assert_eq!(*pid, p1);
+        let mappings: Vec<(&u64, &Mapping)> = space.epoch_dirty_mappings().collect();
+        assert_eq!(mappings.len(), 1);
+        let (start, m) = mappings.first().unwrap();
+        assert_eq!(**start, stack.0);
+        assert_eq!(m.epoch_dirty_pages(), 1);
+
+        // The next cut cleans it again.
+        sys.clear_epoch_dirty();
+        assert_eq!(sys.epoch_dirty_spaces().count(), 0);
+    }
+
+    #[test]
     fn operations_on_dead_process_fail() {
         let mut sys = System::new();
         let pid = sys.spawn_process();

@@ -143,6 +143,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer with room for `capacity` bytes, for
+    /// callers that know the encoded size up front.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consumes the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

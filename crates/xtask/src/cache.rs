@@ -35,7 +35,7 @@ use crate::rules::{static_rule_name, Finding, ShimItem, RULES};
 
 /// Bumped whenever artifact *semantics* change without a rule-catalogue
 /// change (parser fixes, new harvest kinds).
-pub const ANALYZER_REV: u32 = 1;
+pub const ANALYZER_REV: u32 = 2;
 
 /// FNV-1a 64-bit over a byte slice.
 pub fn fnv64(bytes: &[u8]) -> u64 {

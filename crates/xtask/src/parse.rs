@@ -156,9 +156,17 @@ pub fn parse_blanked(text: &str) -> FileSummary {
     let mut fns: Vec<FnInfo> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending = Pending::None;
+    // Bracket depth since the last `fn` header began: a `;` inside a
+    // signature's array type (`t: &[u64; 256]`) must not cancel it.
+    let mut sig_depth = 0usize;
 
     let mut i = 0usize;
     while i < toks.len() {
+        match &toks[i] {
+            Tok::Punct(_, b'(' | b'[') => sig_depth += 1,
+            Tok::Punct(_, b')' | b']') => sig_depth = sig_depth.saturating_sub(1),
+            _ => {}
+        }
         match &toks[i] {
             Tok::Punct(pos, b'{') => {
                 let scope = match std::mem::replace(&mut pending, Pending::None) {
@@ -203,8 +211,11 @@ pub fn parse_blanked(text: &str) -> FileSummary {
             }
             Tok::Punct(_, b';') => {
                 // A `;` before the body brace cancels a pending header
-                // (trait method declaration, `mod name;`).
-                pending = Pending::None;
+                // (trait method declaration, `mod name;`) unless it
+                // sits inside the header's brackets.
+                if sig_depth == 0 || !matches!(pending, Pending::Fn { .. }) {
+                    pending = Pending::None;
+                }
                 i += 1;
             }
             Tok::Punct(pos, b'[') => {
@@ -233,6 +244,7 @@ pub fn parse_blanked(text: &str) -> FileSummary {
                     "fn" => {
                         if let Some(Tok::Ident(ns, ne)) = toks.get(i + 1) {
                             let line = lexer::line_of(&starts, *s);
+                            sig_depth = 0;
                             pending = Pending::Fn {
                                 name: text[*ns..*ne].to_string(),
                                 line,
@@ -807,5 +819,17 @@ mod tests {
             "#[derive(Debug)]\nfn f() { let v = vec![1, 2]; let a = [0u8; 4]; g(&a); }\n",
         );
         assert!(s.fns[0].panics.is_empty());
+    }
+
+    #[test]
+    fn array_types_in_a_signature_keep_the_fn() {
+        let s = summary(
+            "fn at(t: &[u64; 256], b: u8) -> u64 { t[usize::from(b)] }
+\
+             trait T { fn f(&self, a: [u8; 2]); }\nfn g() {}\n",
+        );
+        let names: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["at", "g"]);
+        assert_eq!(s.fns[0].panics.len(), 1);
     }
 }

@@ -6,6 +6,9 @@
 //! * the canonical checkpoint bytes of a vanilla and a Desiccant
 //!   platform cut mid-drain, while requests are still in flight and
 //!   their events still queued;
+//! * the framed container bytes of a base cut (with one driver frame)
+//!   and two chained delta cuts of those same platforms, which pin the
+//!   frame layout and the CRC-64 of every frame and commit record;
 //! * a small sharded `replay_cluster` at one and two worker threads.
 //!
 //! A refactor that promises "same behaviour" must leave every constant
@@ -37,10 +40,9 @@ fn fault_off_replay_is_byte_identical() {
 
 /// Replays 12 s of the seed-5 trace at scale 10 into a 512 MiB cache
 /// (tight enough that vanilla evicts and Desiccant reclaims), plus a
-/// burst of eight arrivals at the same instant, and cuts at 8.0005 s,
-/// mid-millisecond inside the arrival stream, returning the FNV-1a
-/// digest of the canonical checkpoint bytes.
-fn mid_drain_checkpoint_digest(desiccant: bool) -> u64 {
+/// burst of eight arrivals at the same instant, and stops at 8.0005 s,
+/// mid-millisecond inside the arrival stream, with requests in flight.
+fn mid_drain_platform(desiccant: bool) -> Platform {
     let catalog = workloads::catalog();
     let trace = build_trace(&catalog, 5);
     let manager: Option<Box<dyn MemoryManager>> = if desiccant {
@@ -63,9 +65,54 @@ fn mid_drain_checkpoint_digest(desiccant: bool) -> u64 {
     }
     p.run_until(SimTime(8_000_500_000));
     assert!(p.in_flight() > 0, "the cut must land while requests are in flight");
+    p
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(&p.checkpoint());
+    h.write(bytes);
     h.finish()
+}
+
+/// FNV-1a digest of the canonical checkpoint bytes of the mid-drain
+/// platform.
+fn mid_drain_checkpoint_digest(desiccant: bool) -> u64 {
+    fnv(&mid_drain_platform(desiccant).checkpoint())
+}
+
+/// FNV-1a digests of three framed cuts of the mid-drain platform: a
+/// base carrying one driver frame of kind `FRAME_EXTRA_BASE`, then a
+/// delta after 0.5 s more of the replay, then another after 1.5 s
+/// more. The chain must also fold back to the live platform's
+/// canonical checkpoint.
+fn mid_drain_container_digests(desiccant: bool) -> [u64; 3] {
+    let mut p = mid_drain_platform(desiccant);
+    let base = p.checkpoint_base(1, &[(Platform::FRAME_EXTRA_BASE, b"driver cursor 8.0005 s".to_vec())]);
+    p.run_until(SimTime(8_500_000_000));
+    let first = p.checkpoint_delta(2, 1, &[]);
+    p.run_until(SimTime(10_000_000_000));
+    let second = p.checkpoint_delta(3, 2, &[]);
+    let digests = [fnv(&base), fnv(&first), fnv(&second)];
+
+    let chain = [base, first, second];
+    let mut fresh = Platform::new(
+        PlatformConfig {
+            cache_budget: 512 << 20,
+            ..PlatformConfig::default()
+        },
+        workloads::catalog(),
+        GcMode::Vanilla,
+        if desiccant {
+            Some(Box::new(Desiccant::new(DesiccantConfig::default())))
+        } else {
+            None
+        },
+    );
+    let (epoch, extra) = fresh.restore_chain(&chain).expect("the pinned chain restores");
+    assert_eq!(epoch, 3);
+    assert!(extra.is_empty(), "the head delta carries no driver frame");
+    assert!(fresh.checkpoint() == p.checkpoint(), "the chain folds to the live state");
+    digests
 }
 
 #[test]
@@ -73,6 +120,17 @@ fn mid_drain_checkpoint_bytes_are_pinned() {
     assert_eq!(
         [mid_drain_checkpoint_digest(false), mid_drain_checkpoint_digest(true)],
         [0xe8ec_e640_07bf_8411, 0xc7d2_5260_75b5_afdd]
+    );
+}
+
+#[test]
+fn mid_drain_container_bytes_are_pinned() {
+    assert_eq!(
+        [mid_drain_container_digests(false), mid_drain_container_digests(true)],
+        [
+            [0xd8f3_df2b_d704_dc6a, 0xe4ce_5964_e3d0_20ef, 0x1857_d945_6f9f_30d3],
+            [0x118d_8df7_f241_aff1, 0x98bc_fbef_e981_a145, 0x7d3f_4a47_91c1_b61d],
+        ]
     );
 }
 
